@@ -27,6 +27,14 @@ cargo test -q --release --test cluster
 echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged)"
 cargo test -q --release --test overload two_x_overload_smoke
 
+echo "==> O(1) host structures (LLC vs naive reference, NVMe CID matching, waiter audit + wake bound)"
+cargo test -q --release -p dcn-mem llc::tests::matches_naive_reference_on_random_sequences
+cargo test -q --release -p dcn-nvme -- jittered_completions_across_queues duplicate_cid_in_flight
+cargo test -q --release --test overload retransmit_fetches_keep_priority_under_admission_pressure
+
+echo "==> benchmark's own tests (traced event loop matches run_scenario bit for bit)"
+cargo test -q --offline --manifest-path streambench/Cargo.toml
+
 echo "==> perf gate (perf_baseline vs committed BENCH_perf_baseline.json, plus determinism)"
 perf_tmp="$(mktemp -d)"
 trap 'rm -rf "$perf_tmp"' EXIT

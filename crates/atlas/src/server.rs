@@ -170,9 +170,15 @@ struct AtlasIds {
     retry_503: Vec<CounterId>,
     /// Oversized / malformed request heads answered 431 and aborted.
     bad_requests: Vec<CounterId>,
-    /// Connections parked on the buffer-pool waiter list because an
-    /// alloc came up empty.
+    /// Park episodes: a connection not already waiting joins a
+    /// buffer-pool waiter queue because an alloc came up empty.
     empty_waits: Vec<CounterId>,
+    /// Parked connections re-pumped by [`AtlasServer::wake_buf_waiters`]…
+    waiter_wakes: Vec<CounterId>,
+    /// …and those of them whose pump issued no fetch.
+    idle_waiter_wakes: Vec<CounterId>,
+    /// Wake passes that found at least one parked connection.
+    wake_calls: CounterId,
     /// Gauges refreshed by [`AtlasServer::publish_obs`] at every
     /// metric sample point — pre-registered so sampled runs do no
     /// per-sample name scans (`find_*`/`sum_prefixed` stay reserved
@@ -227,6 +233,13 @@ impl AtlasIds {
             empty_waits: (0..cores)
                 .map(|c| reg.counter_core("atlas.bufpool.empty_waits", c))
                 .collect(),
+            waiter_wakes: (0..cores)
+                .map(|c| reg.counter_core("atlas.bufpool.waiter_wakes", c))
+                .collect(),
+            idle_waiter_wakes: (0..cores)
+                .map(|c| reg.counter_core("atlas.bufpool.idle_waiter_wakes", c))
+                .collect(),
+            wake_calls: reg.counter("atlas.bufpool.wake_calls"),
             pool_free_bufs: (0..cores)
                 .map(|c| reg.gauge_core("atlas.pool_free_bufs", c))
                 .collect(),
@@ -382,9 +395,23 @@ pub struct AtlasServer {
     /// latch + ladder), live-connection count, and the I/O-window
     /// tuner — the [`ControlPlane`] skeleton shared with the kstack.
     ctl: Vec<CoreControl>,
-    /// Connections parked waiting for a DMA buffer, per core; woken
-    /// (re-pumped) after TX reclaim and disk completions free buffers.
-    buf_waiters: Vec<BTreeSet<usize>>,
+    /// Connections parked waiting for a DMA buffer, one set per
+    /// (core, disk) pool: `buf_waiters[core][disk]` holds the slots
+    /// whose last fetch found that pool dry. Woken (re-pumped) after
+    /// TX reclaim and disk completions free buffers.
+    buf_waiters: Vec<Vec<BTreeSet<usize>>>,
+    /// The disk whose waiter set each slot is filed in, if parked.
+    parked_on: Vec<Option<usize>>,
+    /// Per slot: the `wake_passes` value when it last stopped being
+    /// parked other than by being woken (`u64::MAX`: never).
+    left_park_at: Vec<u64>,
+    /// Completed [`AtlasServer::wake_buf_waiters`] passes.
+    wake_passes: u64,
+    /// Per core: slots whose last `drain_tx` stopped on a full TX ring
+    /// with records still queued.
+    tx_stuck: Vec<BTreeSet<usize>>,
+    /// Reusable per-pass scratch for the wake pass's TX retries.
+    drain_scratch: Vec<usize>,
     /// Next overload sweep (slow-client deadlines + ladder tick).
     next_sweep: Nanos,
     /// (core, disk) queues with reads staged during the current
@@ -418,6 +445,15 @@ pub struct AtlasServer {
     cache_ready: Vec<dcn_diskmap::CompletedIo>,
     /// Reusable scratch for drained cold-store tickets.
     cold_scratch: Vec<GetTicket>,
+}
+
+/// Can `q`'s pool serve a fresh (non-retransmit) fetch? The last
+/// `retx_reserve_bufs` buffers are held back so a connection in RTO
+/// recovery is never starved behind newly admitted traffic (clamped
+/// so tiny test pools aren't wedged by the reserve itself).
+fn serves_fresh(q: &NvmeQueue, retx_reserve_bufs: u32) -> bool {
+    let pool = q.pool_ref();
+    pool.available() > retx_reserve_bufs.min(pool.capacity() / 4)
 }
 
 impl AtlasServer {
@@ -470,6 +506,7 @@ impl AtlasServer {
                 .collect();
             core_disks.push(CoreDisks { queues });
         }
+        let n_disks = catalog.n_disks();
         let rx_slots = (0..cfg.cores).map(|_| phys.alloc(2048)).collect();
         let tier = cfg.tier.map(|tc| TierEngine::new(tc, &catalog, seed));
         let cache = cfg.tier_cache.map(HotChunkCache::new);
@@ -527,7 +564,12 @@ impl AtlasServer {
                     ))
                 })
                 .collect(),
-            buf_waiters: vec![BTreeSet::new(); cfg.cores],
+            buf_waiters: vec![vec![BTreeSet::new(); n_disks]; cfg.cores],
+            parked_on: Vec::new(),
+            left_park_at: Vec::new(),
+            wake_passes: 0,
+            tx_stuck: vec![BTreeSet::new(); cfg.cores],
+            drain_scratch: Vec::new(),
             next_sweep: cfg.admission.sweep_interval,
             dirty_doorbells: BTreeMap::new(),
             completed_scratch: Vec::new(),
@@ -826,6 +868,8 @@ impl AtlasServer {
         conn.drain_mark_at = now;
         self.slots.push(ConnSlot { conn, core, flow });
         self.timer_of.push(None);
+        self.parked_on.push(None);
+        self.left_park_at.push(u64::MAX);
         self.conns.insert(flow, slot_idx);
         self.note_conn_opened(core);
         self.nic.tx_rings[core].push(synack.into_tx(0));
@@ -1025,16 +1069,17 @@ impl AtlasServer {
     /// in order.
     fn drain_tx(&mut self, now: Nanos, slot_idx: usize) {
         let core = self.slots[slot_idx].core;
-        loop {
+        let stuck = loop {
             // TX-ring backpressure: if the ring is full the item
-            // stays parked; the next ACK (or TX completion) retries.
+            // stays parked; the next ACK retries, and so does the next
+            // wake pass if the connection was recently parked.
             if self.nic.tx_rings[core].space() == 0 {
-                break;
+                break !self.slots[slot_idx].conn.ready_tx.is_empty();
             }
             let slot = &mut self.slots[slot_idx];
             let cursor = slot.conn.tcb.stream_offset_of_snd_nxt();
             let Some((&off, _)) = slot.conn.ready_tx.first_key_value() else {
-                break;
+                break false;
             };
             debug_assert!(
                 off >= cursor,
@@ -1044,7 +1089,7 @@ impl AtlasServer {
                 // A hole: an earlier record's disk read is still in
                 // flight — the in-order stream is NVMe-wait stalled.
                 self.prof_stall(StallKind::NvmeWait);
-                break;
+                break false;
             }
             let item = slot.conn.ready_tx.remove(&off).expect("just peeked");
             let len = item.sg.len();
@@ -1058,6 +1103,11 @@ impl AtlasServer {
             if item.token != 0 {
                 self.tracer.stamp_tx(item.token, Stage::TsoPacketize, now);
             }
+        };
+        if stuck {
+            self.tx_stuck[core].insert(slot_idx);
+        } else if !self.tx_stuck[core].is_empty() {
+            self.tx_stuck[core].remove(&slot_idx);
         }
     }
 
@@ -1069,11 +1119,12 @@ impl AtlasServer {
         // and an unbounded cap when autotuning is off).
         let watermark = self.ctl[core].tuner.watermark();
         let inflight_cap = self.ctl[core].tuner.inflight_cap();
-        loop {
+        // The pool this round ended on, if it stopped on a dry one.
+        let dry = loop {
             let slot = &mut self.slots[slot_idx];
             // Start the next queued request if the active one is done.
             let Some(layout) = slot.conn.active_layout() else {
-                break;
+                break None;
             };
             let record = slot.conn.next_record;
             let wire = layout.record_wire_len(record);
@@ -1103,7 +1154,7 @@ impl AtlasServer {
                 // Window below the watermark with data in flight: the
                 // pipeline is waiting on client ACKs, not on us.
                 self.prof_stall(StallKind::CwndLimited);
-                break;
+                break None;
             }
             // Tuned in-flight cap: when the tuner has backed off
             // (queueing latency or SQ saturation), stop issuing once
@@ -1116,7 +1167,7 @@ impl AtlasServer {
                     .sum();
                 if outstanding >= inflight_cap {
                     self.prof_stall(StallKind::NvmeWait);
-                    break;
+                    break None;
                 }
             }
             let file = layout.file;
@@ -1139,27 +1190,35 @@ impl AtlasServer {
                 plain,
                 0,
             );
-            if !issued {
+            if let Err(disk) = issued {
                 // Buffer pool exhausted (TX completions will recycle
-                // buffers shortly): undo, park on the waiter list —
-                // the reclaim path re-pumps parked connections the
-                // moment a buffer frees — and stop this round.
+                // buffers shortly): undo and stop this round.
                 let slot = &mut self.slots[slot_idx];
                 slot.conn.next_record -= 1;
                 slot.conn.reserved -= wire;
                 slot.conn.fetches_inflight -= 1;
-                if self.buf_waiters[core].insert(slot_idx) {
-                    self.reg.inc(self.ids.empty_waits[core]);
-                }
                 self.prof_stall(StallKind::PoolEmpty);
-                break;
+                break Some(disk);
+            }
+        };
+        // A slot is parked exactly while its latest round ended on a
+        // dry pool; the reclaim path re-pumps it once that pool can
+        // serve. One unparked here stays recently parked (for the TX
+        // retry) until the next wake pass.
+        match dry {
+            Some(disk) => self.park(slot_idx, disk),
+            None => {
+                if self.unpark(slot_idx) {
+                    self.left_park_at[slot_idx] = self.wake_passes;
+                }
             }
         }
     }
 
-    /// Stage + submit one disk read. Returns false when the buffer
-    /// pool is exhausted (caller decides how to back off). `attempt`
-    /// is 0 for first issues; the retry policy re-enters with 1..=N.
+    /// Stage + submit one disk read. Returns `Err(disk)` when that
+    /// disk's buffer pool is exhausted (caller decides how to back
+    /// off). `attempt` is 0 for first issues; the retry policy
+    /// re-enters with 1..=N.
     #[allow(clippy::too_many_arguments)]
     fn issue_fetch(
         &mut self,
@@ -1170,24 +1229,15 @@ impl AtlasServer {
         file_off: u64,
         plain_len: u64,
         attempt: u32,
-    ) -> bool {
+    ) -> Result<(), usize> {
         let core = self.slots[slot_idx].core;
         let (loc, aligned_len, _pre) = self.catalog.read_span(file, file_off, plain_len);
         let q = &mut self.core_disks[core].queues[loc.disk];
-        // Retransmit-fetch priority: hold the last few buffers back
-        // from fresh fetches so a connection in RTO recovery is never
-        // starved behind newly admitted traffic. (Clamped so tiny
-        // test pools aren't wedged by the reserve itself.)
-        let reserve = self
-            .cfg
-            .admission
-            .retx_reserve_bufs
-            .min(q.pool_ref().capacity() / 4);
-        if fetch.retx.is_none() && q.pool_ref().available() <= reserve {
-            return false;
+        if fetch.retx.is_none() && !serves_fresh(q, self.cfg.admission.retx_reserve_bufs) {
+            return Err(loc.disk);
         }
         let Some(buf) = q.pool().alloc() else {
-            return false;
+            return Err(loc.disk);
         };
         let token = self.next_token;
         self.next_token += 1;
@@ -1310,7 +1360,7 @@ impl AtlasServer {
             // latest staging time recorded for this queue.
             self.tracer.stamp(token, Stage::NvmeSubmit, now);
         }
-        true
+        Ok(())
     }
 
     /// Ring the doorbell once per (core, disk) queue that staged
@@ -1386,7 +1436,7 @@ impl AtlasServer {
             plain,
             0,
         );
-        if !issued {
+        if issued.is_err() {
             // No buffer for the retransmit right now: tell the TCB so
             // the RTO (or further dup ACKs) can re-request it.
             let slot = &mut self.slots[slot_idx];
@@ -1899,7 +1949,7 @@ impl AtlasServer {
                 plain,
                 entry.attempt,
             );
-            if !issued {
+            if issued.is_err() {
                 // Pool exhausted: try again one backoff later without
                 // consuming an attempt.
                 let serial = self.next_retry;
@@ -2021,25 +2071,95 @@ impl AtlasServer {
         }
     }
 
+    /// File `slot_idx` in the waiter set of its core's `disk` pool,
+    /// moving it there if it was parked on another disk.
+    fn park(&mut self, slot_idx: usize, disk: usize) {
+        let core = self.slots[slot_idx].core;
+        match self.parked_on[slot_idx] {
+            Some(d) if d == disk => return,
+            Some(d) => {
+                self.buf_waiters[core][d].remove(&slot_idx);
+            }
+            None => self.reg.inc(self.ids.empty_waits[core]),
+        }
+        self.buf_waiters[core][disk].insert(slot_idx);
+        self.parked_on[slot_idx] = Some(disk);
+    }
+
+    /// Drop `slot_idx` from whichever waiter set holds it; returns
+    /// whether it was parked.
+    fn unpark(&mut self, slot_idx: usize) -> bool {
+        let Some(d) = self.parked_on[slot_idx].take() else {
+            return false;
+        };
+        let core = self.slots[slot_idx].core;
+        self.buf_waiters[core][d].remove(&slot_idx);
+        true
+    }
+
     /// Re-pump connections parked for a DMA buffer. Called after TX
     /// reclaim / disk completions have returned buffers to the pools.
+    ///
+    /// Per core, waiters are taken in ascending slot order across the
+    /// core's pools, but only from pools that can serve a fresh fetch
+    /// at that moment: a waiter whose own pool is dry stays parked
+    /// without being touched, and the pump loop ends as soon as no pool
+    /// on the core can serve. Pumps only consume buffers, so a pool
+    /// that runs dry mid-pass stays dry for the rest of it. Each slot
+    /// is pumped at most once per pass, even if its pump parks it
+    /// again.
+    ///
+    /// The pass then runs `drain_tx` → `sync_timer`, in ascending slot
+    /// order, for every woken slot and every *recently parked* slot
+    /// whose last drain stopped on a full TX ring: TX reclaim has just
+    /// freed ring slots, and for these connections the retry comes
+    /// before their next ACK would. A slot is recently parked if it is
+    /// parked now or stopped being parked since the previous pass
+    /// other than by being woken. Pumps neither queue records nor
+    /// touch the ring, so draining after all pumps sends what draining
+    /// beside each pump would.
     fn wake_buf_waiters(&mut self, now: Nanos) {
+        let reserve = self.cfg.admission.retx_reserve_bufs;
+        let mut any_parked = false;
+        let mut drains = std::mem::take(&mut self.drain_scratch);
         for core in 0..self.cfg.cores {
-            if self.buf_waiters[core].is_empty() {
-                continue;
-            }
-            let waiters: Vec<usize> = std::mem::take(&mut self.buf_waiters[core])
-                .into_iter()
-                .collect();
-            for slot_idx in waiters {
-                if self.slots[slot_idx].conn.aborted {
-                    continue;
-                }
-                // pump() re-parks the slot if the pool is still dry.
+            drains.extend(self.tx_stuck[core].iter().copied().filter(|&s| {
+                self.parked_on[s].is_some() || self.left_park_at[s] == self.wake_passes
+            }));
+            any_parked |= self.buf_waiters[core].iter().any(|w| !w.is_empty());
+            let mut from = 0usize;
+            loop {
+                let queues = &self.core_disks[core].queues;
+                let next = self.buf_waiters[core]
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(disk, w)| Some((*w.range(from..).next()?, disk)))
+                    .filter(|&(_, disk)| serves_fresh(&queues[disk], reserve))
+                    .min();
+                let Some((slot_idx, _)) = next else {
+                    break;
+                };
+                from = slot_idx + 1;
+                self.unpark(slot_idx);
+                self.reg.inc(self.ids.waiter_wakes[core]);
+                let token_before = self.next_token;
                 self.pump(now, slot_idx);
+                if self.next_token == token_before {
+                    self.reg.inc(self.ids.idle_waiter_wakes[core]);
+                }
+                drains.push(slot_idx);
+            }
+            drains.sort_unstable();
+            drains.dedup();
+            for slot_idx in drains.drain(..) {
                 self.drain_tx(now, slot_idx);
                 self.sync_timer(slot_idx);
             }
+        }
+        self.drain_scratch = drains;
+        self.wake_passes += 1;
+        if any_parked {
+            self.reg.inc(self.ids.wake_calls);
         }
     }
 
@@ -2079,7 +2199,8 @@ impl AtlasServer {
             self.timers.remove(&(d, slot_idx));
             self.timer_of[slot_idx] = None;
         }
-        self.buf_waiters[core].remove(&slot_idx);
+        self.unpark(slot_idx);
+        self.tx_stuck[core].remove(&slot_idx);
         self.conns.remove(&flow);
         self.note_conn_closed(core);
         self.reg.inc(self.ids.conns_aborted);
@@ -2161,6 +2282,36 @@ impl AtlasServer {
             .map(|r| r.unreclaimed_tokens() as i64)
             .sum();
         capacity - free - inflight - parked - in_nic
+    }
+
+    /// Waiter-queue audit: set entries filed anywhere but the
+    /// (core, disk) set their slot's `parked_on` names, plus parked
+    /// slots that are dead, aborted, or missing from that set. Together
+    /// these say every parked slot is live and filed exactly once.
+    /// Nonzero is a bug; the overload tests assert 0 after quiesce.
+    #[must_use]
+    pub fn misfiled_waiters(&self) -> usize {
+        let mut bad = 0;
+        for (core, sets) in self.buf_waiters.iter().enumerate() {
+            for (disk, set) in sets.iter().enumerate() {
+                for &s in set {
+                    if self.slots[s].core != core || self.parked_on[s] != Some(disk) {
+                        bad += 1;
+                    }
+                }
+            }
+        }
+        for (s, parked) in self.parked_on.iter().enumerate() {
+            let Some(disk) = *parked else {
+                continue;
+            };
+            let slot = &self.slots[s];
+            let live = !slot.conn.aborted && self.conns.get(&slot.flow) == Some(&s);
+            if !live || !self.buf_waiters[slot.core][disk].contains(&s) {
+                bad += 1;
+            }
+        }
+        bad
     }
 
     /// Arm the seeded fault injectors (device-level read errors and

@@ -14,12 +14,17 @@
 //!   total capacity. A CPU touch of a DMA chunk reclassifies it —
 //!   DDIO caps allocations, not residency of consumed data.
 //!
-//! LRU order is kept with logical timestamps in two BTreeMap indexes
-//! (global order and DMA-only order); at the simulated scales (≲64 k
-//! chunks, a few million ops per simulated second) the `O(log n)`
-//! operations are negligible and vastly simpler than intrusive lists.
+//! LRU order is two intrusive doubly-linked lists threaded through
+//! one slab of nodes: the global list (every resident chunk) and the
+//! DMA-only list (chunks still classed as DMA-allocated), each ordered
+//! least- to most-recently used. A chunk → node index finds a chunk's
+//! node, and evicted or invalidated nodes go on a free list for reuse,
+//! so every operation is O(1): one index probe plus a few link
+//! updates. Each list keeps chunks in the order of their last access,
+//! so victim choice is the plain LRU one.
 
-use std::collections::{BTreeMap, HashMap};
+use dcn_simcore::IntMap;
+use std::collections::hash_map::Entry;
 
 /// LLC geometry.
 #[derive(Clone, Copy, Debug)]
@@ -44,11 +49,27 @@ impl LlcConfig {
     }
 }
 
+/// End-of-list marker for node links.
+const NIL: u32 = u32::MAX;
+/// List ids: index into [`Node::links`] and [`Llc::lists`].
+const ALL: usize = 0;
+const DMA: usize = 1;
+
 #[derive(Clone, Copy, Debug)]
-struct Entry {
-    stamp: u64,
+struct Node {
+    chunk: u64,
+    /// `[prev, next]` in each list (`NIL` at the ends). The DMA links
+    /// are meaningful only while `dma` is set.
+    links: [[u32; 2]; 2],
     dirty: bool,
     dma: bool,
+}
+
+/// Least- (`head`) and most-recently (`tail`) used node of one list.
+#[derive(Clone, Copy, Debug)]
+struct Ends {
+    head: u32,
+    tail: u32,
 }
 
 /// Chunks evicted by one insertion.
@@ -61,11 +82,12 @@ pub struct Evictions {
 /// The cache state. Keys are chunk ids (physical page numbers).
 pub struct Llc {
     cfg: LlcConfig,
-    entries: HashMap<u64, Entry>,
-    by_stamp: BTreeMap<u64, u64>,     // stamp -> chunk (all entries)
-    dma_by_stamp: BTreeMap<u64, u64>, // stamp -> chunk (dma entries)
+    nodes: Vec<Node>,
+    /// Slab slots of evicted/invalidated nodes, reused before growing.
+    free: Vec<u32>,
+    index: IntMap<u64, u32>,
+    lists: [Ends; 2],
     dma_live: u64,
-    next_stamp: u64,
     /// Lifetime eviction counters (diagnostics).
     pub evicted_dirty_total: u64,
     pub evicted_clean_total: u64,
@@ -76,13 +98,17 @@ impl Llc {
     pub fn new(cfg: LlcConfig) -> Self {
         assert!(cfg.ddio_chunks <= cfg.capacity_chunks);
         assert!(cfg.capacity_chunks > 0);
+        let empty = Ends {
+            head: NIL,
+            tail: NIL,
+        };
         Llc {
             cfg,
-            entries: HashMap::new(),
-            by_stamp: BTreeMap::new(),
-            dma_by_stamp: BTreeMap::new(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            index: IntMap::default(),
+            lists: [empty; 2],
             dma_live: 0,
-            next_stamp: 0,
             evicted_dirty_total: 0,
             evicted_clean_total: 0,
         }
@@ -96,7 +122,7 @@ impl Llc {
     /// Number of chunks currently resident.
     #[must_use]
     pub fn resident(&self) -> u64 {
-        self.entries.len() as u64
+        self.index.len() as u64
     }
 
     /// Number of resident chunks still classed as DMA-allocated.
@@ -109,28 +135,31 @@ impl Llc {
     /// used by DMA reads which are not allocating accesses).
     #[must_use]
     pub fn probe(&self, chunk: u64) -> bool {
-        self.entries.contains_key(&chunk)
+        self.index.contains_key(&chunk)
     }
 
     /// CPU touch: if resident, refresh LRU, optionally mark dirty, and
     /// reclassify a DMA chunk as CPU-owned. Returns hit/miss.
     pub fn touch(&mut self, chunk: u64, dirty: bool) -> bool {
-        let stamp = self.bump_stamp();
-        match self.entries.get_mut(&chunk) {
-            Some(e) => {
-                self.by_stamp.remove(&e.stamp);
-                if e.dma {
-                    self.dma_by_stamp.remove(&e.stamp);
-                    self.dma_live -= 1;
-                    e.dma = false;
-                }
-                e.stamp = stamp;
-                e.dirty |= dirty;
-                self.by_stamp.insert(stamp, chunk);
+        match self.index.get(&chunk) {
+            Some(&i) => {
+                self.touch_node(i, dirty);
                 true
             }
             None => false,
         }
+    }
+
+    fn touch_node(&mut self, i: u32, dirty: bool) {
+        self.unlink(ALL, i);
+        self.push_back(ALL, i);
+        if self.nodes[i as usize].dma {
+            self.unlink(DMA, i);
+            self.dma_live -= 1;
+        }
+        let n = &mut self.nodes[i as usize];
+        n.dma = false;
+        n.dirty |= dirty;
     }
 
     /// Allocate `chunk` on behalf of the CPU (after a miss).
@@ -147,81 +176,102 @@ impl Llc {
 
     /// Remove `chunk` without writeback (buffer freed / NT store).
     pub fn invalidate(&mut self, chunk: u64) {
-        if let Some(e) = self.entries.remove(&chunk) {
-            self.by_stamp.remove(&e.stamp);
-            if e.dma {
-                self.dma_by_stamp.remove(&e.stamp);
-                self.dma_live -= 1;
-            }
+        if let Some(i) = self.index.remove(&chunk) {
+            self.release(i);
         }
-    }
-
-    fn bump_stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
     }
 
     fn insert(&mut self, chunk: u64, dirty: bool, dma: bool) -> Evictions {
-        let mut ev = Evictions::default();
-        // Re-insertion of a resident chunk is a touch with
-        // reclassification.
-        if self.entries.contains_key(&chunk) {
-            self.touch(chunk, dirty);
-            if dma {
-                // A fresh DMA write over a resident chunk re-marks it
-                // dirty but keeps it CPU-classified if it was consumed
-                // — the common buffer-recycling case. Mark dirty only.
-                if let Some(e) = self.entries.get_mut(&chunk) {
-                    e.dirty = true;
-                }
+        let node = Node {
+            chunk,
+            links: [[NIL; 2]; 2],
+            dirty,
+            dma,
+        };
+        let i = match self.index.entry(chunk) {
+            // Re-insertion of a resident chunk is a touch with
+            // reclassification: a fresh DMA write over it (always
+            // dirty) re-marks it dirty but leaves it CPU-classified —
+            // the common buffer-recycling case.
+            Entry::Occupied(e) => {
+                let i = *e.get();
+                self.touch_node(i, dirty);
+                return Evictions::default();
             }
-            return ev;
-        }
-        let stamp = self.bump_stamp();
-        self.entries.insert(chunk, Entry { stamp, dirty, dma });
-        self.by_stamp.insert(stamp, chunk);
+            Entry::Vacant(v) => {
+                let i = match self.free.pop() {
+                    Some(i) => {
+                        self.nodes[i as usize] = node;
+                        i
+                    }
+                    None => {
+                        self.nodes.push(node);
+                        u32::try_from(self.nodes.len() - 1).expect("LLC slab exceeds u32 nodes")
+                    }
+                };
+                *v.insert(i)
+            }
+        };
+        let mut ev = Evictions::default();
+        self.push_back(ALL, i);
         if dma {
-            self.dma_by_stamp.insert(stamp, chunk);
+            self.push_back(DMA, i);
             self.dma_live += 1;
             // DDIO cap: evict oldest DMA chunk first.
             while self.dma_live > self.cfg.ddio_chunks {
-                let (_, victim) = self
-                    .dma_by_stamp
-                    .iter()
-                    .next()
-                    .map(|(s, c)| (*s, *c))
-                    .expect("dma_live > 0 implies an entry");
-                self.evict(victim, &mut ev);
+                self.evict(self.lists[DMA].head, &mut ev);
             }
         }
-        while self.entries.len() as u64 > self.cfg.capacity_chunks {
-            let victim = *self
-                .by_stamp
-                .values()
-                .next()
-                .expect("over capacity implies an entry");
-            self.evict(victim, &mut ev);
+        while self.index.len() as u64 > self.cfg.capacity_chunks {
+            self.evict(self.lists[ALL].head, &mut ev);
         }
         ev
     }
 
-    fn evict(&mut self, chunk: u64, ev: &mut Evictions) {
-        let e = self
-            .entries
-            .remove(&chunk)
-            .expect("evict of non-resident chunk");
-        self.by_stamp.remove(&e.stamp);
-        if e.dma {
-            self.dma_by_stamp.remove(&e.stamp);
-            self.dma_live -= 1;
-        }
-        if e.dirty {
+    fn evict(&mut self, i: u32, ev: &mut Evictions) {
+        let n = self.nodes[i as usize];
+        self.index.remove(&n.chunk);
+        self.release(i);
+        if n.dirty {
             ev.dirty_chunks += 1;
             self.evicted_dirty_total += 1;
         } else {
             ev.clean_chunks += 1;
             self.evicted_clean_total += 1;
+        }
+    }
+
+    /// Unlink node `i` (already dropped from the index) from its lists
+    /// and return its slot to the free list.
+    fn release(&mut self, i: u32) {
+        self.unlink(ALL, i);
+        if self.nodes[i as usize].dma {
+            self.unlink(DMA, i);
+            self.dma_live -= 1;
+        }
+        self.free.push(i);
+    }
+
+    /// Append node `i` as the most recently used entry of `list`.
+    fn push_back(&mut self, list: usize, i: u32) {
+        let tail = self.lists[list].tail;
+        self.nodes[i as usize].links[list] = [tail, NIL];
+        match tail {
+            NIL => self.lists[list].head = i,
+            t => self.nodes[t as usize].links[list][1] = i,
+        }
+        self.lists[list].tail = i;
+    }
+
+    fn unlink(&mut self, list: usize, i: u32) {
+        let [prev, next] = self.nodes[i as usize].links[list];
+        match prev {
+            NIL => self.lists[list].head = next,
+            p => self.nodes[p as usize].links[list][1] = next,
+        }
+        match next {
+            NIL => self.lists[list].tail = prev,
+            n => self.nodes[n as usize].links[list][0] = prev,
         }
     }
 }
@@ -329,5 +379,149 @@ mod tests {
         assert_eq!(c.dma_resident(), 2);
         c.invalidate(2);
         assert_eq!(c.dma_resident(), 1);
+    }
+    /// Naive reference: one `Vec` ordered least- to most-recently
+    /// used, every operation a linear scan — the LRU + DDIO-cap rules
+    /// stated as plainly as possible.
+    #[derive(Default)]
+    struct RefLlc {
+        cap: usize,
+        ddio: usize,
+        lru: Vec<(u64, bool, bool)>, // (chunk, dirty, dma)
+        evicted_dirty_total: u64,
+        evicted_clean_total: u64,
+    }
+
+    impl RefLlc {
+        fn pos(&self, chunk: u64) -> Option<usize> {
+            self.lru.iter().position(|e| e.0 == chunk)
+        }
+
+        fn dma_resident(&self) -> u64 {
+            self.lru.iter().filter(|e| e.2).count() as u64
+        }
+
+        fn touch(&mut self, chunk: u64, dirty: bool) -> bool {
+            let Some(p) = self.pos(chunk) else {
+                return false;
+            };
+            let (c, d, _) = self.lru.remove(p);
+            self.lru.push((c, d | dirty, false));
+            true
+        }
+
+        fn evict_at(&mut self, p: usize, ev: &mut Evictions) {
+            if self.lru.remove(p).1 {
+                ev.dirty_chunks += 1;
+                self.evicted_dirty_total += 1;
+            } else {
+                ev.clean_chunks += 1;
+                self.evicted_clean_total += 1;
+            }
+        }
+
+        fn insert(&mut self, chunk: u64, dirty: bool, dma: bool) -> Evictions {
+            let mut ev = Evictions::default();
+            if self.touch(chunk, dirty) {
+                if dma {
+                    self.lru.last_mut().unwrap().1 = true;
+                }
+                return ev;
+            }
+            self.lru.push((chunk, dirty, dma));
+            while self.dma_resident() as usize > self.ddio {
+                let p = self.lru.iter().position(|e| e.2).unwrap();
+                self.evict_at(p, &mut ev);
+            }
+            while self.lru.len() > self.cap {
+                self.evict_at(0, &mut ev);
+            }
+            ev
+        }
+
+        fn invalidate(&mut self, chunk: u64) {
+            if let Some(p) = self.pos(chunk) {
+                self.lru.remove(p);
+            }
+        }
+    }
+
+    /// Walk one of `c`'s intrusive lists from least to most recent.
+    fn list_order(c: &Llc, list: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut i = c.lists[list].head;
+        while i != NIL {
+            out.push(c.nodes[i as usize].chunk);
+            i = c.nodes[i as usize].links[list][1];
+        }
+        out
+    }
+
+    #[test]
+    fn matches_naive_reference_on_random_sequences() {
+        let mut dma_reinserts = 0u32;
+        for seed in 0..200u64 {
+            let mut rng = dcn_simcore::SimRng::new(seed);
+            let cap = rng.gen_range(1, 9);
+            let ddio = rng.gen_range(0, cap + 1);
+            let universe = cap * 2 + 2;
+            let mut c = llc(cap, ddio);
+            let mut r = RefLlc {
+                cap: cap as usize,
+                ddio: ddio as usize,
+                ..RefLlc::default()
+            };
+            for step in 0..400 {
+                let chunk = rng.gen_range(0, universe);
+                let dirty = rng.chance(0.5);
+                let ctx = format!("seed {seed} step {step} chunk {chunk}");
+                let (got, want) = match rng.gen_range(0, 5) {
+                    0 => {
+                        let (a, b) = (c.touch(chunk, dirty), r.touch(chunk, dirty));
+                        assert_eq!(a, b, "touch hit/miss: {ctx}");
+                        (Evictions::default(), Evictions::default())
+                    }
+                    1 => (c.insert_cpu(chunk, dirty), r.insert(chunk, dirty, false)),
+                    2 => {
+                        if r.pos(chunk).is_some_and(|p| r.lru[p].2) {
+                            dma_reinserts += 1;
+                        }
+                        (c.insert_dma(chunk), r.insert(chunk, true, true))
+                    }
+                    3 => {
+                        c.invalidate(chunk);
+                        r.invalidate(chunk);
+                        (Evictions::default(), Evictions::default())
+                    }
+                    _ => {
+                        assert_eq!(c.probe(chunk), r.pos(chunk).is_some(), "probe: {ctx}");
+                        (Evictions::default(), Evictions::default())
+                    }
+                };
+                assert_eq!(
+                    got.clean_chunks, want.clean_chunks,
+                    "clean evictions: {ctx}"
+                );
+                assert_eq!(
+                    got.dirty_chunks, want.dirty_chunks,
+                    "dirty evictions: {ctx}"
+                );
+                assert_eq!(c.resident(), r.lru.len() as u64, "resident: {ctx}");
+                assert_eq!(c.dma_resident(), r.dma_resident(), "dma_resident: {ctx}");
+                assert_eq!(c.evicted_dirty_total, r.evicted_dirty_total, "{ctx}");
+                assert_eq!(c.evicted_clean_total, r.evicted_clean_total, "{ctx}");
+                let order: Vec<u64> = r.lru.iter().map(|e| e.0).collect();
+                assert_eq!(list_order(&c, ALL), order, "LRU order: {ctx}");
+                let dma_order: Vec<u64> = r.lru.iter().filter(|e| e.2).map(|e| e.0).collect();
+                assert_eq!(list_order(&c, DMA), dma_order, "DMA order: {ctx}");
+                for e in &r.lru {
+                    assert_eq!(c.nodes[c.index[&e.0] as usize].dirty, e.1, "dirty: {ctx}");
+                }
+            }
+        }
+        assert!(
+            dma_reinserts > 100,
+            "only {dma_reinserts} resident-DMA re-inserts"
+        );
     }
 }

@@ -13,7 +13,7 @@ use crate::queue::{CompletionEntry, NvmeCommand, NvmeStatus, Opcode, QueuePair};
 use crate::LBA_SIZE;
 use dcn_faults::NvmeFaultInjector;
 use dcn_mem::{Agent, HostMem, MemSystem};
-use dcn_simcore::Nanos;
+use dcn_simcore::{IntMap, Nanos};
 
 pub use dcn_mem::Fidelity;
 
@@ -62,7 +62,7 @@ pub struct NvmeDevice {
     /// fault layer doomed this command to a media error (decided at
     /// doorbell time so firmware reordering can't change the
     /// schedule).
-    pending: Vec<(u16, NvmeCommand, bool)>,
+    pending: IntMap<(u16, u16), (NvmeCommand, bool)>,
     /// Seeded fault decisions (media errors, latency spikes). `None`
     /// in every scenario that doesn't inject faults.
     faults: Option<NvmeFaultInjector>,
@@ -83,7 +83,7 @@ impl NvmeDevice {
                 .collect(),
             firmware: Firmware::new(cfg.firmware, seed),
             backing,
-            pending: Vec::new(),
+            pending: IntMap::default(),
             faults: None,
             cfg,
             last_irq: Nanos::ZERO,
@@ -121,15 +121,20 @@ impl NvmeDevice {
 
     /// Ring the SQ tail doorbell of `qid`: the device fetches newly
     /// submitted commands, validates them, and hands them to the
-    /// firmware. Invalid commands complete immediately with an error
-    /// status.
+    /// firmware. Invalid commands, and commands reusing the CID of one
+    /// still in flight on the same queue, complete immediately with an
+    /// error status.
     pub fn ring_sq_doorbell(&mut self, now: Nanos, qid: u16) {
         let qp = &mut self.qpairs[usize::from(qid)];
         let tail = qp.sq_tail();
         let cmds = qp.device_fetch(tail);
         let sq_head = qp.sq_head;
         for cmd in cmds {
-            let status = self.validate(&cmd);
+            let status = if self.pending.contains_key(&(qid, cmd.cid)) {
+                NvmeStatus::CommandIdConflict
+            } else {
+                self.validate(&cmd)
+            };
             if status != NvmeStatus::Success {
                 self.qpairs[usize::from(qid)].cq_post(CompletionEntry {
                     cid: cmd.cid,
@@ -146,7 +151,7 @@ impl NvmeDevice {
                 None => (false, 1.0),
             };
             self.firmware.submit_scaled(now, qid, sq_head, &cmd, mult);
-            self.pending.push((qid, cmd, fail));
+            self.pending.insert((qid, cmd.cid), (cmd, fail));
         }
     }
 
@@ -185,12 +190,10 @@ impl NvmeDevice {
         let finished = self.firmware.drain_finished(now);
         let n = finished.len();
         for (qid, cid, sq_head) in finished {
-            let idx = self
+            let (cmd, failed) = self
                 .pending
-                .iter()
-                .position(|(q, c, _)| *q == qid && c.cid == cid)
+                .remove(&(qid, cid))
                 .expect("completion for unknown command");
-            let (_, cmd, failed) = self.pending.swap_remove(idx);
             if failed {
                 // Media error: no data transfer happened; the host
                 // buffer is untouched and must be treated as garbage.
@@ -569,5 +572,79 @@ mod tests {
         );
         assert_eq!(d.completed_reads, u64::from(n));
         assert_eq!(d.read_bytes, u64::from(n) * 16384);
+    }
+    #[test]
+    fn jittered_completions_across_queues_dma_into_their_own_buffers() {
+        // Four queue pairs, each with 48 reads in flight that reuse the
+        // same CIDs 0..48: completions are matched by (queue, CID), so
+        // every one must land in its own command's buffer even though
+        // the firmware's jitter finishes them out of submission order.
+        let (mut m, mut h, mut pa) = mem();
+        let mut d = dev();
+        let (queues, per_queue) = (4u16, 48u16);
+        let mut bufs = Vec::new();
+        for q in 0..queues {
+            for cid in 0..per_queue {
+                let slba = (u64::from(q) * 1000 + u64::from(cid)) * 8;
+                let buf = pa.alloc(4096);
+                assert!(d.qpair(q).sq_push(read_cmd(cid, slba, 4096, buf)));
+                bufs.push((q, cid, slba, buf));
+            }
+        }
+        for q in 0..queues {
+            d.ring_sq_doorbell(Nanos::ZERO, q);
+        }
+        let total = usize::from(queues * per_queue);
+        assert_eq!(run_to_completion(&mut d, &mut m, &mut h), total);
+        let mut reordered = false;
+        for q in 0..queues {
+            let entries = d.qpair(q).cq_consume(total);
+            assert_eq!(entries.len(), usize::from(per_queue), "queue {q}");
+            assert!(entries.iter().all(|e| e.status == NvmeStatus::Success));
+            reordered |= entries.windows(2).any(|w| w[1].cid < w[0].cid);
+        }
+        assert!(reordered, "jitter must reorder some completions");
+        for (q, cid, slba, buf) in bufs {
+            let mut want = vec![0u8; 4096];
+            SyntheticBacking::new(7).expected(1, slba * LBA_SIZE, &mut want);
+            assert_eq!(h.read_region(buf), want, "queue {q} cid {cid}");
+        }
+    }
+
+    #[test]
+    fn duplicate_cid_in_flight_completes_with_conflict() {
+        let (mut m, mut h, mut pa) = mem();
+        let mut d = dev();
+        let (a, b, c) = (pa.alloc(4096), pa.alloc(4096), pa.alloc(4096));
+        d.qpair(0).sq_push(read_cmd(5, 0, 4096, a));
+        d.qpair(0).sq_push(read_cmd(5, 64, 4096, b));
+        d.qpair(0).sq_push(read_cmd(6, 128, 4096, c));
+        d.ring_sq_doorbell(Nanos::ZERO, 0);
+        let early = d.qpair(0).cq_consume(16);
+        assert_eq!(early.len(), 1, "the duplicate completes at doorbell time");
+        assert_eq!(early[0].cid, 5);
+        assert_eq!(early[0].status, NvmeStatus::CommandIdConflict);
+        assert_eq!(run_to_completion(&mut d, &mut m, &mut h), 2);
+        let done = d.qpair(0).cq_consume(16);
+        assert_eq!(done.len(), 2);
+        assert!(done.iter().all(|e| e.status == NvmeStatus::Success));
+        let expect = |slba: u64| {
+            let mut want = vec![0u8; 4096];
+            SyntheticBacking::new(7).expected(1, slba * LBA_SIZE, &mut want);
+            want
+        };
+        assert_eq!(h.read_region(a), expect(0));
+        assert_eq!(
+            h.read_region(b),
+            vec![0u8; 4096],
+            "refused command moved no data"
+        );
+        assert_eq!(h.read_region(c), expect(128));
+        // Once the first command completed its CID is free again.
+        d.qpair(0).sq_push(read_cmd(5, 64, 4096, b));
+        d.ring_sq_doorbell(Nanos::from_millis(1), 0);
+        assert_eq!(run_to_completion(&mut d, &mut m, &mut h), 1);
+        assert_eq!(d.qpair(0).cq_consume(16)[0].status, NvmeStatus::Success);
+        assert_eq!(h.read_region(b), expect(64));
     }
 }

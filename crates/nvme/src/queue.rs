@@ -20,6 +20,11 @@ pub enum NvmeStatus {
     LbaOutOfRange,
     /// Malformed command (zero-length data pointer, bad opcode...).
     InvalidField,
+    /// The command's CID is already in use by a command still in
+    /// flight on the same submission queue (NVMe 1.2 generic status
+    /// 0x03). Completions are matched to commands by (queue, CID), so
+    /// the device refuses the duplicate rather than guess.
+    CommandIdConflict,
     /// Unrecoverable media read error (NVMe 1.2 §4.6.1 status 0x281):
     /// the command's data transfer did not happen. Injected by the
     /// fault layer; the host must treat the buffer as undefined.

@@ -11,12 +11,14 @@
 //! Nothing here depends on wall-clock time, so a given seed produces a
 //! bit-identical run.
 
+pub mod hash;
 pub mod ids;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use hash::{IntHasher, IntMap};
 pub use ids::{Arena, Id};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::{prf_bytes, RankPerm, SimRng, Zipf};

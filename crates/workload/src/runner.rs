@@ -77,6 +77,11 @@ pub trait VideoServer {
     fn leaked_buffers(&self) -> i64 {
         0
     }
+    /// Waiter-queue audit (Atlas only): parked connections that are
+    /// dead or misfiled. 0 for servers without DMA-pool waiters.
+    fn misfiled_waiters(&self) -> usize {
+        0
+    }
     /// Instantaneous DMA buffer-pool state as (free, capacity). None
     /// for servers without a pool — the harness stops sampling.
     fn pool_snapshot(&self) -> Option<(u64, u64)> {
@@ -133,6 +138,9 @@ impl VideoServer for AtlasServer {
     }
     fn leaked_buffers(&self) -> i64 {
         AtlasServer::leaked_buffers(self)
+    }
+    fn misfiled_waiters(&self) -> usize {
+        AtlasServer::misfiled_waiters(self)
     }
     fn pool_snapshot(&self) -> Option<(u64, u64)> {
         Some((
@@ -309,8 +317,16 @@ pub struct OverloadMetrics {
     pub reaped_idle: u64,
     /// Buffer-holding slow readers aborted (Atlas).
     pub aborted_slow: u64,
-    /// Staging/fetch passes parked on an empty buffer pool.
+    /// Park episodes on an empty buffer pool (Atlas: a connection
+    /// joining a pool's waiter queue; kstack: a staging pass parking
+    /// on buffer-cache pressure).
     pub empty_waits: u64,
+    /// Parked Atlas connections re-pumped when buffers freed…
+    pub waiter_wakes: u64,
+    /// …of which issued no fetch.
+    pub idle_waiter_wakes: u64,
+    /// Atlas wake passes that found at least one parked connection.
+    pub wake_calls: u64,
     /// Clients that observed a server RST (refused or aborted).
     pub client_resets: u64,
     /// 503 responses the fleet received.
@@ -391,6 +407,9 @@ pub struct RunMetrics {
     pub retransmit_fetches: u64,
     /// DMA buffers unaccounted for at run end (must be 0).
     pub leaked_buffers: i64,
+    /// Buffer-pool waiter entries failing the audit at run end (must
+    /// be 0).
+    pub misfiled_waiters: usize,
     pub faults: FaultMetrics,
     pub overload: OverloadMetrics,
     /// Stage-profiler snapshot, present when the server config set
@@ -746,6 +765,9 @@ pub fn run_scenario_observed(sc: &Scenario, obs: &ObsOptions) -> (RunMetrics, Ob
         aborted_slow: reg.sum_prefixed("atlas.overload.aborted_slow"),
         empty_waits: reg.sum_prefixed("atlas.bufpool.empty_waits")
             + reg.sum_prefixed("kstack.bufcache.empty_waits"),
+        waiter_wakes: reg.sum_prefixed("atlas.bufpool.waiter_wakes"),
+        idle_waiter_wakes: reg.sum_prefixed("atlas.bufpool.idle_waiter_wakes"),
+        wake_calls: reg.find_counter("atlas.bufpool.wake_calls").unwrap_or(0),
         client_resets: fleet.resets_received(),
         client_503s: fleet.rejections_503(),
         client_retries: fleet.retries_fired,
@@ -798,6 +820,7 @@ pub fn run_scenario_observed(sc: &Scenario, obs: &ObsOptions) -> (RunMetrics, Ob
         disk_read_bytes,
         retransmit_fetches,
         leaked_buffers: server.leaked_buffers(),
+        misfiled_waiters: server.misfiled_waiters(),
         faults,
         overload,
         perf: server.prof_report(),

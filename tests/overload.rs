@@ -34,6 +34,10 @@ fn assert_overload_invariants(m: &RunMetrics) {
     );
     assert!(m.verified_bytes > 0);
     assert_eq!(m.leaked_buffers, 0, "no shed path may leak a DMA buffer");
+    assert_eq!(
+        m.misfiled_waiters, 0,
+        "every parked connection is live and filed under exactly its pool"
+    );
 }
 
 #[test]
@@ -130,9 +134,10 @@ fn resource_shedding_sends_503_and_clients_retry_to_completion() {
 fn retransmit_fetches_keep_priority_under_admission_pressure() {
     // Loss recovery competes with fresh fetches for DMA buffers. With
     // a deliberately tiny pool (16 bufs/queue) plus 1% loss, fresh
-    // fetches park on the empty pool (`bufpool.empty_waits`) while
-    // the retx reserve keeps RTO recovery moving: retransmit fetches
-    // complete and no stream is ever corrupted or stalled out.
+    // fetches park on the empty pool (`bufpool.empty_waits` counts
+    // park episodes) while the retx reserve keeps RTO recovery moving:
+    // retransmit fetches complete and no stream is ever corrupted or
+    // stalled out.
     let mut cfg = capped_atlas(true, 16);
     cfg.bufs_per_queue = 16;
     let mut sc = Scenario::smoke(ServerKind::Atlas(cfg), 24, 43);
@@ -149,6 +154,17 @@ fn retransmit_fetches_keep_priority_under_admission_pressure() {
     assert!(
         m.retransmit_fetches > 0,
         "retx fetches must still get buffers while fresh fetches park"
+    );
+    // Parked connections wait on their own (core, disk) pool and are
+    // pumped only once that pool can serve them. Re-pumping every
+    // parked connection on every wake pass would spend at least one
+    // allocation-free pump per pass; here they must stay a small
+    // fraction of the passes, whatever the parked population.
+    let o = m.overload;
+    assert!(o.waiter_wakes > 0, "freed buffers must wake waiters: {o:?}");
+    assert!(
+        o.idle_waiter_wakes * 10 <= o.wake_calls,
+        "wake passes re-pump connections that get no buffer: {o:?}"
     );
 }
 
